@@ -26,14 +26,9 @@ import (
 // hot substrate paths.
 
 func benchFigure(b *testing.B, fig experiment.Figure) {
-	benchFigureOpts(b, fig, experiment.Options{Fast: true})
-}
-
-func benchFigureOpts(b *testing.B, fig experiment.Figure, opt experiment.Options) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		opt.Seed = int64(i + 1)
-		res, err := experiment.Run(fig, opt)
+		res, err := experiment.Run(fig, experiment.Options{Fast: true, Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -53,21 +48,6 @@ func BenchmarkFig7a(b *testing.B) { benchFigure(b, experiment.Fig7a) }
 func BenchmarkFig7b(b *testing.B) { benchFigure(b, experiment.Fig7b) }
 func BenchmarkFig8a(b *testing.B) { benchFigure(b, experiment.Fig8a) }
 func BenchmarkFig8b(b *testing.B) { benchFigure(b, experiment.Fig8b) }
-
-// BenchmarkFig8aShards{2,4} rerun the densest figure sweep on the
-// spatially-sharded parallel engine (DESIGN.md §15). The series are
-// byte-identical to BenchmarkFig8a's by construction, so these measure
-// pure engine overhead/speedup; the figure harness's own batch
-// parallelism shares the worker budget with the shard pools, exactly as
-// `cmd/figures -parallel N -shards K` would. Serial batch (Workers: 1)
-// hands the whole budget to each run's shard pool.
-func BenchmarkFig8aShards2(b *testing.B) {
-	benchFigureOpts(b, experiment.Fig8a, experiment.Options{Fast: true, Workers: 1, Shards: 2})
-}
-
-func BenchmarkFig8aShards4(b *testing.B) {
-	benchFigureOpts(b, experiment.Fig8a, experiment.Options{Fast: true, Workers: 1, Shards: 4})
-}
 
 // benchScenario runs one simulation per iteration and reports
 // domain-specific metrics alongside wall time.

@@ -38,14 +38,13 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed (runs are reproducible per seed)")
 		verbose  = flag.Bool("v", false, "print protocol and radio counters")
 		traceN   = flag.Int("trace", 0, "print the last N on-air events")
-		confPath = flag.String("config", "", "load the scenario from a JSON file (other flags are ignored)")
-		scenRef  = flag.String("scenario", "",
-			"load a generated scenario: a JSON file path or a scenarios/<name> library entry (other flags are ignored)")
+		confPath = flag.String("config", "",
+			"load the scenario from a JSON file (replaces the scenario flags above; -faults, -norxcache, -v and -trace still apply)")
+		scenRef = flag.String("scenario", "",
+			"load a generated scenario: a JSON file path or a scenarios/<name> library entry (replaces the scenario flags above; -faults, -norxcache, -v and -trace still apply)")
 		savePath = flag.String("save", "", "write the resulting scenario to a JSON file and exit")
 		faultArg = flag.String("faults", "",
 			"inject faults: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
-		shards = flag.Int("shards", 0,
-			"run the spatially-sharded parallel engine with this many strips (results are byte-identical for every value; 0 or 1 run the serial reference)")
 		noRxCache = flag.Bool("norxcache", false,
 			"disable the receiver-plane cache and run the uncached reference scan (results are byte-identical either way)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -86,11 +85,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Faults = plan
-	}
-	if *shards != 0 {
-		// Applied after -config/-scenario so the flag overrides a loaded
-		// file; Validate below rejects negative or grid-exceeding counts.
-		cfg.Shards = *shards
 	}
 	if *noRxCache {
 		cfg.Radio.NoRxCache = true

@@ -42,8 +42,6 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress per-run progress on stderr")
 		scenRef  = flag.String("scenario", "",
 			"overlay the generator spec of this scenario (a JSON file or scenarios/<name> entry) onto every figure run")
-		shards = flag.Int("shards", 0,
-			"run every figure simulation on the sharded parallel engine with this many strips (byte-identical results; shares a GOMAXPROCS worker budget with -parallel)")
 		noRxCache = flag.Bool("norxcache", false,
 			"run every figure simulation with the receiver-plane cache disabled (uncached reference scan; byte-identical results)")
 	)
@@ -51,10 +49,6 @@ func main() {
 
 	if *resume && *manifest == "" {
 		fmt.Fprintln(os.Stderr, "-resume needs -manifest to name the file")
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "-shards %d: shard count cannot be negative\n", *shards)
 		os.Exit(2)
 	}
 
@@ -78,7 +72,6 @@ func main() {
 		Seeds:     *seeds,
 		Fast:      *fast,
 		Workers:   *parallel,
-		Shards:    *shards,
 		NoRxCache: *noRxCache,
 		Manifest:  *manifest,
 		Resume:    *resume,

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"ecgrid/internal/scenario"
-	"ecgrid/internal/shard"
 )
 
 // tinyCfg is a fast-to-simulate but non-trivial scenario.
@@ -68,37 +66,6 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			t.Errorf("job %d (%s): serialized results differ between workers=1 and workers=8",
 				i, jobs[i].Tag)
 		}
-	}
-}
-
-// TestShardedJobsShareWorkerBudget: a parallel batch of sharded runs
-// must negotiate goroutines through the shared budget — same results as
-// a serial unsharded batch, and every budget slot returned afterwards
-// (a leak would starve all later runs of helpers forever).
-func TestShardedJobsShareWorkerBudget(t *testing.T) {
-	jobs := tinyJobs()
-	sharded := make([]Job, len(jobs))
-	for i, j := range jobs {
-		j.Cfg.Shards = 3 // 500 m area, 100 m cells: 5 columns, 3 strips
-		sharded[i] = j
-	}
-	ref, sumRef := Run(context.Background(), jobs, Options{Workers: 1})
-	got, sumGot := Run(context.Background(), sharded, Options{Workers: 4})
-	if err := errors.Join(sumRef.Err(), sumGot.Err()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		a, b := marshal(t, ref[i].Res.Collector), marshal(t, got[i].Res.Collector)
-		if string(a) != string(b) {
-			t.Errorf("job %d (%s): sharded parallel batch diverged from serial reference", i, jobs[i].Tag)
-		}
-	}
-	max := runtime.GOMAXPROCS(0)
-	if free := shard.AcquireWorkers(max * 2); free != max {
-		shard.ReleaseWorkers(free)
-		t.Fatalf("%d of %d budget slots free after the batch: slots leaked", free, max)
-	} else {
-		shard.ReleaseWorkers(free)
 	}
 }
 

@@ -94,12 +94,6 @@ type Options struct {
 	// (cmd/figures -scenario). Changing Gen changes every batch key, so
 	// stressed and plain figure runs never collide in a shared store.
 	Gen *scengen.Spec
-	// Shards, when ≥ 2, runs every figure simulation on the sharded
-	// parallel engine (scenario.Config.Shards). Results are
-	// byte-identical for any value, but the field is part of the batch
-	// key, so sharded and serial figure runs cache separately — exactly
-	// like HeapScheduler.
-	Shards int
 	// NoRxCache runs every figure simulation with the receiver-plane
 	// cache disabled (radio.Config.NoRxCache), the uncached reference
 	// path. Results are byte-identical either way, but the flag is part
@@ -192,11 +186,6 @@ func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 				// leaving both set would fail validation as ambiguous.
 				jobs[i].Cfg.Mobility = ""
 			}
-		}
-	}
-	if opt.Shards != 0 {
-		for i := range jobs {
-			jobs[i].Cfg.Shards = opt.Shards
 		}
 	}
 	if opt.NoRxCache {

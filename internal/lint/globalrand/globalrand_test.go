@@ -11,7 +11,6 @@ func TestGlobalRand(t *testing.T) {
 	analysistest.Run(t, "testdata", globalrand.Analyzer,
 		"ecgrid/internal/traffic/grfix",     // banned everywhere; constructors legal
 		"ecgrid/internal/scengen/grscengen", // generator draws must come from streams
-		"ecgrid/internal/shard/grshard",     // audit sampling must come from streams
 		"ecgrid/internal/sim",               // rng.go exempt, sibling file not
 	)
 }

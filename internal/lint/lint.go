@@ -225,7 +225,6 @@ var SimPackages = []string{
 	"ecgrid/internal/faults",
 	"ecgrid/internal/spatial",
 	"ecgrid/internal/scengen",
-	"ecgrid/internal/shard",
 	// radio and ras joined the scope with the receiver-plane cache
 	// (DESIGN.md §16): both now keep order-sensitive caches (receiver
 	// lists, the paging bus's sorted-ID list) rebuilt from maps, where

@@ -54,9 +54,9 @@ func TestInScope(t *testing.T) {
 		{"ecgrid/internal/protocols/gaf", true},
 		{"ecgrid/internal/protocols", true},
 		{"ecgrid/internal/faults", true},
-		{"ecgrid/internal/shard", true},
-		{"ecgrid/internal/shardmap", false},  // prefix of a tree name, not inside it
-		{"ecgrid/internal/simulator", false}, // prefix of a tree name, not inside it
+		{"ecgrid/internal/spatial", true},
+		{"ecgrid/internal/spatialmap", false}, // prefix of a tree name, not inside it
+		{"ecgrid/internal/simulator", false},  // prefix of a tree name, not inside it
 		{"ecgrid/internal/batch", false},
 		{"ecgrid/cmd/sweep", false},
 	}

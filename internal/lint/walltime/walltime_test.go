@@ -13,7 +13,6 @@ func TestWallTime(t *testing.T) {
 		"ecgrid/internal/faults/wtfaults",   // in scope: fault timing is sim time
 		"ecgrid/internal/spatial/wtspatial", // in scope: re-bucketing is sim time
 		"ecgrid/internal/scengen/wtscengen", // in scope: generation is sim-seeded
-		"ecgrid/internal/shard/wtshard",     // in scope: windows are sim time
 		"ecgrid/internal/radio/wtradio",     // in scope: drift deadlines are sim time
 		"ecgrid/internal/batch/wtclean",     // out of scope: no diagnostics
 	)

@@ -214,35 +214,12 @@ func (h *Host) Position() geom.Point {
 	return h.posPt
 }
 
-// AdvanceMobility materializes the host's movement history out to time
-// t without touching the event-time position memo. The sharded engine's
-// workers (internal/shard) call it in the parallel advance phase, so
-// every Position read during the following serial commit window is a
-// pure lookup into legs that already exist. Mobility models draw from
-// the host's private stream and keep their full history, so early
-// materialization is byte-identical to materializing on demand.
-func (h *Host) AdvanceMobility(t float64) {
-	if h.dead {
-		return
-	}
-	h.mob.Position(t)
-}
-
 // NextExit implements radio.Mover for the channel's spatial index: the
 // earliest time ≥ t the host's position may leave bounds, bounded by a
 // one-hour re-check horizon.
 func (h *Host) NextExit(t float64, bounds geom.Rect) float64 {
 	const horizon = 3600.0
 	return mobility.NextRectExit(h.mob, t, bounds, t+horizon)
-}
-
-// StaysWithin reports whether the host provably remains inside bounds
-// over the whole interval [from, until]. The sharded engine's scan
-// pruning (internal/shard) uses it as the per-window pin test; call it
-// only after AdvanceMobility(until) or later, so the proof walks legs
-// that already exist and draws nothing from the mobility stream.
-func (h *Host) StaysWithin(from, until float64, bounds geom.Rect) bool {
-	return mobility.ProvablyWithin(h.mob, from, until, bounds)
 }
 
 // MaxSpeedMS implements radio.SpeedBounded: a bound on the host's speed

@@ -174,6 +174,11 @@ type Channel struct {
 	cpos   []geom.Point
 	keys   []int64
 	rxFree [][]reception
+
+	// nearCand is AppendNearby's scratch, separate from cand so a query
+	// never aliases a receiver scan.
+	nearCand []spatial.Candidate[*station]
+
 	// Receiver-set cache state (rxcache.go). rxCacheOn gates the whole
 	// plane: it requires the spatial index and is switched off by
 	// cfg.NoRxCache, the live reference path. cover is the per-scan
@@ -791,6 +796,23 @@ func (c *Channel) Shutdown() {
 // exceeded" indication routing protocols use for route repair).
 type TxFeedback interface {
 	TxFailed(f *Frame)
+}
+
+// AppendNearby appends to dst the ID of every attached host that may lie
+// within r of p — a superset of the hosts truly there, in no particular
+// order — and returns it with ok == true. It reads the channel's spatial
+// index (plus the unindexed side list) and changes nothing. Without an
+// index (Config.BruteForce) it returns dst unchanged and ok == false,
+// and the caller must sweep the population itself.
+func (c *Channel) AppendNearby(p geom.Point, r float64, dst []hostid.ID) ([]hostid.ID, bool) {
+	if c.index == nil {
+		return dst, false
+	}
+	c.nearCand = c.index.NearbyAppend(p, r, c.nearCand[:0])
+	for _, cd := range c.nearCand {
+		dst = append(dst, cd.ID)
+	}
+	return append(dst, c.unindexed...), true
 }
 
 // InRange reports whether two attached hosts are currently within

@@ -79,12 +79,3 @@ func DefaultConfig() Config {
 func (c Config) AirTime(bytes int) float64 {
 	return float64(bytes*8) / c.BitrateBps
 }
-
-// OnAirInterval returns the longest interval between a transmission
-// start and its final reception instant for frames up to maxBytes:
-// serialization of the largest frame plus the propagation delay. It
-// bounds how far into the future a committed send can still deliver,
-// which is what internal/shard's conservative lookahead is built from.
-func (c Config) OnAirInterval(maxBytes int) float64 {
-	return c.AirTime(maxBytes) + c.PropDelay
-}

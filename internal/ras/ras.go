@@ -21,7 +21,6 @@ package ras
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"ecgrid/internal/geom"
@@ -99,19 +98,16 @@ type Bus struct {
 	// loss). Dropped wakeups are counted in PagesDropped.
 	DropHook func(target hostid.ID) bool
 
-	// Scan, when non-nil, replaces PageGrid's allocate-sort-sweep over
-	// every attached switch with a caller-supplied scanner (the sharded
-	// engine's worker pool): Scan must call probe for each candidate
-	// host — in any order, concurrently if it likes, since the probe is
-	// a pure read of position, cell and range — and return the IDs that
-	// passed, in ascending order. [xlo, xhi] bounds the x-coordinates a
-	// passing host can have: the probe provably rejects any host whose
-	// position x lies outside it, so the scanner may skip hosts it can
-	// prove are elsewhere. The
-	// stateful tail (sleep check, drop draw, wake) stays here, serial
-	// and in ID order, so the hosts woken and the randomness consumed
-	// are byte-identical to the reference sweep.
-	Scan func(probe func(target hostid.ID) bool, xlo, xhi float64) []hostid.ID
+	// Nearby, when non-nil, is PageGrid's candidate source: it appends
+	// to dst the ID of every attached switch that may lie within r of p
+	// — a superset, in any order — and returns it with ok == true. The
+	// runner wires it to the radio channel's spatial index
+	// (radio.Channel.AppendNearby), whose hosts are the bus's switches.
+	// When Nearby is nil or answers ok == false (a channel without an
+	// index), PageGrid sweeps every attached switch instead: the
+	// reference the index-backed page is tested against.
+	Nearby func(p geom.Point, r float64, dst []hostid.ID) ([]hostid.ID, bool)
+	near   []hostid.ID // Nearby's recycled result buffer
 }
 
 // DefaultLatency is the paging delay: the time for the RAS to receive a
@@ -166,20 +162,18 @@ func (b *Bus) sortedIDs() []hostid.ID {
 	return b.ids
 }
 
-// wakeAll applies the stateful tail of a grid page to the hosts a Scan
-// admitted: sleep check, paging-loss draw, wakeup — serial, in the
-// given (ascending) order, matching the reference sweep draw for draw.
-func (b *Bus) wakeAll(ids []hostid.ID) {
-	for _, id := range ids {
-		sw := b.switches[id]
-		if sw.Asleep() {
-			if b.DropHook != nil && b.DropHook(id) {
-				b.PagesDropped++
-				continue
-			}
-			sw.Wake(PagedGrid)
+// candidates returns, in ascending order, the IDs a grid page from
+// from must test: the Nearby source's superset of the switches within
+// paging range when it answers, else every attached switch.
+func (b *Bus) candidates(from geom.Point) []hostid.ID {
+	if b.Nearby != nil {
+		if near, ok := b.Nearby(from, b.rangeM, b.near[:0]); ok {
+			slices.Sort(near)
+			b.near = near
+			return near
 		}
 	}
+	return b.sortedIDs()
 }
 
 // Page transmits the paging sequence of the target host from the given
@@ -211,40 +205,17 @@ func (b *Bus) Page(from geom.Point, target hostid.ID) {
 func (b *Bus) PageGrid(from geom.Point, c grid.Coord) {
 	b.GridPagesSent++
 	b.engine.Schedule(b.latency, func() {
-		if b.Scan != nil {
-			// Probe/apply split: the probe is a pure function of the
-			// delivery instant (position, cell membership, range), so the
-			// scanner may evaluate it in parallel — and, given the paged
-			// cell's x-span, skip hosts provably outside it; the stateful
-			// apply below runs serial in ascending ID order, which is
-			// exactly the order the reference sweep visits, wakes, and
-			// draws in.
-			// The admissible x-span is the paged cell's bounds — except
-			// that CellOf clamps out-of-area positions into the edge
-			// cells, so the outermost columns admit any overhang on
-			// their open side.
-			span := b.partition.Bounds(c)
-			xlo, xhi := span.Min.X, span.Max.X
-			if c.X == 0 {
-				xlo = math.Inf(-1)
+		// Every host the exact predicate below admits is within rangeM
+		// of from, so the disc query misses none of them — including
+		// hosts outside the area that CellOf clamps into an edge cell.
+		// Visiting the candidates in ascending ID order, like the sweep,
+		// keeps the wake order and the DropHook draws identical, so runs
+		// are reproducible whichever source answered.
+		for _, id := range b.candidates(from) {
+			sw, ok := b.switches[id]
+			if !ok {
+				continue
 			}
-			if c.X == b.partition.Cols()-1 {
-				xhi = math.Inf(1)
-			}
-			ids := b.Scan(func(id hostid.ID) bool {
-				sw, ok := b.switches[id]
-				if !ok {
-					return false
-				}
-				pos := sw.Position()
-				return b.partition.CellOf(pos) == c && from.Dist(pos) <= b.rangeM
-			}, xlo, xhi)
-			b.wakeAll(ids)
-			return
-		}
-		// Wake in ID order so runs are reproducible.
-		for _, id := range b.sortedIDs() {
-			sw := b.switches[id]
 			pos := sw.Position()
 			if b.partition.CellOf(pos) != c {
 				continue

@@ -12,11 +12,14 @@ import (
 // neighbor index is an optimization, not a model change: every scenario
 // must produce byte-identical metrics and trace fingerprints with the
 // index (the default) and with Radio.BruteForce, which scans the full
-// population exactly as the seed implementation did. The matrix covers
-// both protocols, a jamming fault plan (the Interceptor path disables
-// the Sure-candidate shortcut), and sparse vs. dense populations —
-// dense is where the index actually prunes, sparse is where bucket
-// boundary cases are most visible.
+// population exactly as the seed implementation did. The index also
+// answers RAS grid pages, so the same comparison holds index-backed
+// paging against the full paging sweep. The matrix covers both
+// protocols, a jamming fault plan (the Interceptor path disables the
+// Sure-candidate shortcut), and sparse vs. dense populations — dense is
+// where the index actually prunes, sparse is where bucket boundary
+// cases are most visible — plus a 1000-host network at paper density
+// and a dense generated deployment, where grid pages meet crowded cells.
 func TestSpatialIndexEquivalence(t *testing.T) {
 	type variant struct {
 		proto scenario.ProtocolKind
@@ -27,34 +30,72 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 		{scenario.SPAN, ""},
 		{scenario.ECGRID, "jam-center"},
 	}
+	type tc struct {
+		name string
+		cfg  scenario.Config
+	}
+	var cases []tc
 	for _, v := range variants {
 		for _, hosts := range []int{20, 200} {
 			name := fmt.Sprintf("%s-n%d", v.proto, hosts)
 			if v.fault != "" {
 				name = fmt.Sprintf("%s-%s-n%d", v.proto, v.fault, hosts)
 			}
-			t.Run(name, func(t *testing.T) {
-				cfg := scenario.Default(v.proto)
-				cfg.Hosts = hosts
-				cfg.Duration = 90
-				if hosts >= 200 {
-					cfg.Duration = 45 // dense runs are slow; keep CI snappy
-				}
-				cfg.Seed = int64(17 + hosts)
-				if v.fault != "" {
-					cfg.Faults = mustPreset(v.fault, cfg.Hosts, cfg.AreaSize, cfg.Duration)
-				}
-				ref := cfg
-				ref.Radio.BruteForce = true
-
-				indexed := fingerprint(cfg)
-				brute := fingerprint(ref)
-				if indexed != brute {
-					t.Fatalf("spatial index diverged from brute-force reference — first divergence:\n%s",
-						firstDiff(indexed, brute))
-				}
-			})
+			cfg := scenario.Default(v.proto)
+			cfg.Hosts = hosts
+			cfg.Duration = 90
+			if hosts >= 200 {
+				cfg.Duration = 45 // dense runs are slow; keep CI snappy
+			}
+			cfg.Seed = int64(17 + hosts)
+			if v.fault != "" {
+				cfg.Faults = mustPreset(v.fault, cfg.Hosts, cfg.AreaSize, cfg.Duration)
+			}
+			cases = append(cases, tc{name, cfg})
 		}
+	}
+
+	// Paper-like density at 1000 hosts needs a 3000 m side; the
+	// simulated span stays short, since the point is coverage of the
+	// population, not a long campaign.
+	large := scenario.Default(scenario.ECGRID)
+	large.Hosts = 1000
+	large.AreaSize = 3000
+	large.Duration = 8
+	large.Flows = 30
+	large.Seed = 1031
+	cases = append(cases, tc{"ecgrid-n1000", large})
+
+	// Clustered street traffic at several hundred hosts per square
+	// kilometre: every grid page lands among dozens of hosts, and
+	// cluster scatter puts some outside the area, in clamped edge cells.
+	dense := scenario.Default(scenario.ECGRID)
+	dense.Hosts = 1500
+	dense.AreaSize = 1500
+	dense.Duration = 6
+	dense.Flows = 10
+	dense.TrafficStart = 1
+	dense.MaxSpeedMS = 10
+	dense.Seed = 37
+	dense.Mobility = ""
+	dense.Gen = &scengen.Spec{
+		Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 6, StdDevM: 250},
+		Mobility:   &scengen.Mobility{Kind: scengen.MobilityManhattan, BlockM: 250},
+		Traffic:    &scengen.Traffic{Kind: scengen.TrafficOnOff, MeanOnS: 2, MeanOffS: 2},
+	}
+	cases = append(cases, tc{"ecgrid-dense-generated", dense})
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref := c.cfg
+			ref.Radio.BruteForce = true
+			indexed := fingerprint(c.cfg)
+			brute := fingerprint(ref)
+			if indexed != brute {
+				t.Fatalf("spatial index diverged from brute-force reference — first divergence:\n%s",
+					firstDiff(indexed, brute))
+			}
+		})
 	}
 }
 
@@ -83,106 +124,6 @@ func TestSpatialIndexEquivalenceGenerated(t *testing.T) {
 	if indexed != brute {
 		t.Fatalf("spatial index diverged on a generated scenario — first divergence:\n%s",
 			firstDiff(indexed, brute))
-	}
-}
-
-// TestShardEquivalence proves the sharded parallel engine is an
-// optimization, not a model change: every scenario must produce
-// byte-identical metrics and trace fingerprints at -shards 1 (the
-// serial reference, run verbatim) and every -shards K — the same
-// contract Radio.BruteForce and HeapScheduler are held to. The matrix
-// spans three protocols, three population sizes (the 1000-host case on
-// a proportionally larger area so density stays paper-like), and shard
-// counts that divide the grid unevenly (7 strips over 10 or 30
-// columns); a faulted variant exercises the injector, crash/recovery,
-// and paging-loss draws under sharding.
-func TestShardEquivalence(t *testing.T) {
-	type variant struct {
-		proto scenario.ProtocolKind
-		hosts int
-		fault string
-	}
-	variants := []variant{
-		{scenario.ECGRID, 20, ""},
-		{scenario.ECGRID, 200, ""},
-		{scenario.ECGRID, 1000, ""},
-		{scenario.SPAN, 20, ""},
-		{scenario.SPAN, 200, ""},
-		{scenario.SPAN, 1000, ""},
-		{scenario.GRID, 20, ""},
-		{scenario.GRID, 200, ""},
-		{scenario.GRID, 1000, ""},
-		{scenario.ECGRID, 200, "mixed"},
-	}
-	for _, v := range variants {
-		name := fmt.Sprintf("%s-n%d", v.proto, v.hosts)
-		if v.fault != "" {
-			name += "-" + v.fault
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := scenario.Default(v.proto)
-			cfg.Hosts = v.hosts
-			cfg.Seed = int64(31 + v.hosts)
-			switch {
-			case v.hosts >= 1000:
-				// Paper-like density at 1000 hosts needs a 3000 m side
-				// (30 grid columns, so 7 strips still fit); keep the
-				// simulated span short — the point is coverage of the
-				// windowed loop, not a long campaign.
-				cfg.AreaSize = 3000
-				cfg.Duration = 8
-				cfg.Flows = 30
-			case v.hosts >= 200:
-				cfg.Duration = 45
-			default:
-				cfg.Duration = 90
-			}
-			if v.fault != "" {
-				cfg.Faults = mustPreset(v.fault, cfg.Hosts, cfg.AreaSize, cfg.Duration)
-			}
-			ref := cfg
-			ref.Shards = 1 // the serial path, verbatim
-			serial := fingerprint(ref)
-			for _, k := range []int{2, 4, 7} {
-				sharded := cfg
-				sharded.Shards = k
-				if got := fingerprint(sharded); got != serial {
-					t.Fatalf("-shards %d diverged from the serial reference — first divergence:\n%s",
-						k, firstDiff(got, serial))
-				}
-			}
-		})
-	}
-}
-
-// TestShardEquivalenceGenerated repeats the shard check on a generated
-// scenario chosen to stress the plan: clustered deployment concentrates
-// whole strips, group mobility forces pinned co-ownership (the shared
-// reference point must never gain a second writer), and request/response
-// traffic plus an obstacle map run every optional hook under sharding.
-func TestShardEquivalenceGenerated(t *testing.T) {
-	cfg := scenario.Default(scenario.ECGRID)
-	cfg.Hosts = 60
-	cfg.Duration = 60
-	cfg.Seed = 41
-	cfg.Gen = &scengen.Spec{
-		Deployment: &scengen.Deployment{Kind: scengen.DeployClustered, Clusters: 3, StdDevM: 100},
-		Mobility:   &scengen.Mobility{Kind: scengen.MobilityGroup, GroupSize: 6, RadiusM: 80},
-		Traffic:    &scengen.Traffic{Kind: scengen.TrafficReqResp, RespBytes: 256, RespDelayS: 0.2},
-		Propagation: &scengen.Propagation{Obstacles: []scengen.Obstacle{
-			{MinX: 300, MinY: 200, MaxX: 340, MaxY: 800, Atten: 0.7},
-		}},
-	}
-	ref := cfg
-	ref.Shards = 1
-	serial := fingerprint(ref)
-	for _, k := range []int{2, 4, 7} {
-		sharded := cfg
-		sharded.Shards = k
-		if got := fingerprint(sharded); got != serial {
-			t.Fatalf("-shards %d diverged on a generated scenario — first divergence:\n%s",
-				k, firstDiff(got, serial))
-		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"ecgrid/internal/routing"
 	"ecgrid/internal/scenario"
 	"ecgrid/internal/scengen"
-	"ecgrid/internal/shard"
 	"ecgrid/internal/sim"
 	"ecgrid/internal/traffic"
 )
@@ -74,18 +73,10 @@ type Results struct {
 	OutFaultDeliveryRate  float64
 	PagesDropped          uint64
 
-	// Shard is the parallel engine's execution telemetry when the run
-	// used Cfg.Shards ≥ 2; nil on the serial path. Runtime-only and
-	// excluded from the canonical encoding: the measurements of a
-	// sharded run are byte-identical to the serial reference by
-	// construction, so its stored results differ only by Cfg.Shards.
-	Shard *shard.Stats `json:"-"`
-
 	// RxCache is the receiver-plane cache's telemetry (hits, misses,
-	// rechecks). Runtime-only and excluded from the canonical encoding
-	// for the same reason as Shard: cached runs are byte-identical to
-	// the NoRxCache reference, so stored results must not differ by
-	// cache behavior.
+	// rechecks). Runtime-only and excluded from the canonical encoding:
+	// cached runs are byte-identical to the NoRxCache reference, so
+	// stored results must not differ by cache behavior.
 	RxCache radio.RxCacheStats `json:"-"`
 
 	Collector *metrics.Collector
@@ -138,6 +129,7 @@ func Run(cfg scenario.Config) *Results {
 	part := grid.NewPartition(area, cfg.GridSize)
 	channel := radio.NewChannel(engine, rng, cfg.Radio)
 	bus := ras.NewBus(engine, part, cfg.Radio.Range, ras.DefaultLatency)
+	bus.Nearby = channel.AppendNearby // grid pages read the radio's spatial index
 	col := metrics.New()
 	if cfg.Trace != nil {
 		cfg.Trace.AttachRadio(channel)
@@ -242,11 +234,9 @@ func Run(cfg scenario.Config) *Results {
 		mobFactory = scengen.NewMobilityFactory(gen.Mobility, area, cfg.MaxSpeedMS, cfg.PauseTime, rng)
 	}
 
-	starts := make([]geom.Point, 0, total)
 	for i := 0; i < total; i++ {
 		endpoint := cfg.Protocol == scenario.GAF && i >= cfg.Hosts
 		start := place(i)
-		starts = append(starts, start)
 		var mob mobility.Model
 		if mobFactory != nil {
 			mob = mobFactory.Model(i, start)
@@ -468,48 +458,7 @@ func Run(cfg scenario.Config) *Results {
 	sample()
 	sampler := sim.NewTicker(engine, cfg.SampleEvery, 0, sample)
 
-	var shardStats *shard.Stats
-	if cfg.Shards >= 2 {
-		// Sharded execution: the coordinator's windowed advance/commit
-		// loop replaces the single Engine.Run. Event order, random draws,
-		// metrics, and traces are byte-identical to the serial path —
-		// TestShardEquivalence holds the two to the same fingerprint.
-		var groups []int
-		if gen != nil && gen.Mobility != nil && gen.Mobility.Kind == scengen.MobilityGroup {
-			// Group-mobility members share a mutable reference point, so
-			// the plan must pin each group to a single owner.
-			groups = make([]int, total)
-			for i := range groups {
-				groups[i] = i / gen.Mobility.GroupSize
-			}
-		}
-		plan := shard.NewPlan(part, cfg.Shards, starts, groups)
-		nodes := make([]shard.Node, total)
-		for i := range recs {
-			nodes[i] = recs[i].host
-		}
-		// Helper goroutines come out of the process-wide worker budget
-		// shared with internal/batch; zero helpers just means the phases
-		// run serially — results do not depend on the worker count.
-		helpers := shard.AcquireWorkers(cfg.Shards - 1)
-		pool := shard.NewPool(plan, nodes, helpers)
-		bus.Scan = pool.Scan
-		maxBytes := cfg.PacketBytes
-		if gen != nil && gen.Traffic != nil && gen.Traffic.RespBytes > maxBytes {
-			maxBytes = gen.Traffic.RespBytes
-		}
-		lookahead := shard.LookaheadFor(cfg.Radio,
-			maxBytes+routing.DataHeader+radio.MACHeaderBytes, ras.DefaultLatency)
-		coord := shard.NewCoordinator(engine, pool, shard.DefaultWindow, lookahead, rng)
-		coord.Run(cfg.Duration)
-		bus.Scan = nil
-		pool.Close()
-		shard.ReleaseWorkers(helpers)
-		st := coord.Stats()
-		shardStats = &st
-	} else {
-		engine.Run(cfg.Duration)
-	}
+	engine.Run(cfg.Duration)
 	sampler.Stop()
 	for _, f := range flows {
 		f.Stop()
@@ -549,7 +498,6 @@ func Run(cfg scenario.Config) *Results {
 		OutFaultDeliveryRate:  col.OutWindowDeliveryRate(),
 		PagesDropped:          bus.PagesDropped,
 
-		Shard:     shardStats,
 		RxCache:   channel.RxCacheStats(),
 		Collector: col,
 	}

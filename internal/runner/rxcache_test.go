@@ -13,10 +13,10 @@ import (
 // optimization, not a model change: every scenario must produce
 // byte-identical metrics and trace fingerprints with the cache (the
 // default) and with Radio.NoRxCache, the uncached reference path — the
-// same contract Radio.BruteForce, HeapScheduler, and Shards are held
-// to. The matrix spans the paper protocol and the two duty-cycled
-// baselines (SPAN and GAF sleep most stations, churning the listen
-// epochs the cache is keyed on) across three population sizes; the
+// same contract Radio.BruteForce and HeapScheduler are held to. The
+// matrix spans the paper protocol and the two duty-cycled baselines
+// (SPAN and GAF sleep most stations, churning the listen epochs the
+// cache is keyed on) across three population sizes; the
 // faulted variant combines a gateway crash (detach/re-attach epochs, a
 // recovery re-insert) with a jamming window (the Interceptor path must
 // see live receiver positions on cache hits).
@@ -124,26 +124,5 @@ func TestRxCacheEquivalenceGenerated(t *testing.T) {
 					firstDiff(cached, uncached))
 			}
 		})
-	}
-}
-
-// TestRxCacheShardEquivalence closes the composition square: the cache
-// on the sharded engine must still match the uncached serial reference.
-// Cache state mutates only in the serial commit phase, so this guards
-// against the parallel probe ever touching it.
-func TestRxCacheShardEquivalence(t *testing.T) {
-	cfg := scenario.Default(scenario.ECGRID)
-	cfg.Hosts = 200
-	cfg.Duration = 30
-	cfg.Seed = 61
-	ref := cfg
-	ref.Radio.NoRxCache = true
-	ref.Shards = 1
-	cfg.Shards = 4
-	cached := fingerprint(cfg)
-	uncached := fingerprint(ref)
-	if cached != uncached {
-		t.Fatalf("receiver cache under -shards 4 diverged from the uncached serial reference — first divergence:\n%s",
-			firstDiff(cached, uncached))
 	}
 }

@@ -40,6 +40,7 @@ func TestECGRIDSoakInvariants(t *testing.T) {
 	rcfg := radio.DefaultConfig()
 	channel := radio.NewChannel(engine, rng, rcfg)
 	bus := ras.NewBus(engine, part, rcfg.Range, ras.DefaultLatency)
+	bus.Nearby = channel.AppendNearby
 
 	const n = 100
 	hosts := make([]*node.Host, n)

@@ -111,18 +111,6 @@ type Config struct {
 	// keeps the JSON encoding (and batch manifest keys) of default
 	// configs unchanged.
 	HeapScheduler bool `json:",omitempty"`
-	// Shards, when ≥ 2, executes the run on the spatially-sharded
-	// parallel engine (internal/shard): the plane is cut into Shards
-	// column strips of grid cells, worker goroutines advance each
-	// strip's hosts under conservative synchronization, and the event
-	// commit stays serial — so every value of Shards produces
-	// byte-identical metrics and traces to the single-engine reference.
-	// 0 (the default) and 1 both run the reference path verbatim.
-	// Validate rejects negative values and values exceeding the number
-	// of grid-cell columns (a strip must be at least one column wide).
-	// omitempty keeps the JSON encoding — and with it batch manifest and
-	// store keys — of non-sharded configs unchanged.
-	Shards int `json:",omitempty"`
 	// Faults, if non-nil and non-empty, injects the plan's crashes,
 	// battery shocks, jamming, paging loss, and GPS errors into the run.
 	// omitempty keeps the JSON encoding — and with it batch manifest
@@ -213,13 +201,6 @@ func (c Config) Validate() error {
 	}
 	if c.Duration <= 0 || c.SampleEvery <= 0 || !finite(c.Duration) || !finite(c.SampleEvery) {
 		return errors.New("scenario: non-positive duration or sample period")
-	}
-	if c.Shards < 0 {
-		return errors.New("scenario: negative shard count")
-	}
-	if cols := int(math.Ceil(c.AreaSize / c.GridSize)); c.Shards > cols {
-		return fmt.Errorf("scenario: %d shards exceed the %d-column cell grid (a shard strip is at least one column of %gm cells)",
-			c.Shards, cols, c.GridSize)
 	}
 	if c.Faults != nil {
 		total := c.Hosts

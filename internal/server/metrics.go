@@ -5,8 +5,6 @@ import (
 	"expvar"
 	"sync"
 	"time"
-
-	"ecgrid/internal/shard"
 )
 
 // histBounds are the latency histogram bucket upper bounds. Log-spaced:
@@ -146,9 +144,6 @@ type metricsSet struct {
 	failed    expvar.Int // jobs completed with an error
 	running   expvar.Int // jobs holding a worker slot right now
 
-	shardBoundary expvar.Int // cross-shard ownership handoffs across sharded runs
-	shardStallNS  expvar.Int // wall-clock ns shard coordinators waited on stragglers
-
 	start     time.Time
 	endpoints map[string]*latencyHist
 	top       *expvar.Map
@@ -175,10 +170,6 @@ func newMetricsSet(queueDepth func() int, storeLen func() int) *metricsSet {
 	top.Set("executed", &m.executed)
 	top.Set("failed", &m.failed)
 	top.Set("in_flight", &m.running)
-	top.Set("shard_boundary_events", &m.shardBoundary)
-	top.Set("shard_stall_seconds", expvar.Func(func() any {
-		return float64(m.shardStallNS.Value()) / 1e9
-	}))
 	top.Set("queue_depth", expvar.Func(func() any { return queueDepth() }))
 	top.Set("store_entries", expvar.Func(func() any { return storeLen() }))
 	top.Set("uptime_seconds", expvar.Func(func() any {
@@ -187,17 +178,6 @@ func newMetricsSet(queueDepth func() int, storeLen func() int) *metricsSet {
 	top.Set("latency", lat)
 	m.top = top
 	return m
-}
-
-// observeShard folds one completed sharded run's engine telemetry into
-// the counters: how many hosts crossed a strip boundary (ownership
-// handoffs at window edges) and how long the coordinator's commit phase
-// stalled waiting for the slowest worker. Both grow monotonically
-// across runs; a stall share near the run's wall-clock means the
-// server's shard default oversubscribes its worker budget.
-func (m *metricsSet) observeShard(st *shard.Stats) {
-	m.shardBoundary.Add(int64(st.BoundaryEvents))
-	m.shardStallNS.Add(st.StallNS)
 }
 
 // endpoint returns the named latency histogram (panics on a name not

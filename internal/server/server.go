@@ -65,20 +65,10 @@ type Config struct {
 	// MaxHosts rejects configs whose total host count exceeds it
 	// (cmd/simd's -max-n guardrail); <= 0 disables the check.
 	MaxHosts int
-	// Shards, when >= 2, runs incoming configs that do not pick a shard
-	// count themselves (Shards == 0) on the spatially-sharded parallel
-	// engine with this many strips. Results are byte-identical either
-	// way (DESIGN.md §15), so this is purely an execution default; a
-	// config that sets its own Shards keeps it, and configs whose cell
-	// grid is too narrow for the default fall back to the serial engine.
-	// The overlay happens before key computation, so a sharded server's
-	// cache keys are self-consistent (and /v1/generate previews them).
-	// Negative values are rejected by New.
-	Shards int
 	// NoRxCache runs incoming configs with the receiver-plane cache
 	// disabled (radio.Config.NoRxCache) unless the config already asked
-	// for it. Results are byte-identical either way, so like Shards this
-	// is an execution default — but it is part of the batch key, so a
+	// for it. Results are byte-identical either way, so this is an
+	// execution default — but it is part of the batch key, so a
 	// reference server's cache entries never alias a cached server's.
 	// Exists for the CI soak diff (cmd/simd -norxcache) and debugging.
 	NoRxCache bool
@@ -132,9 +122,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("server: Config.Store is required")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("server: Config.Shards %d: shard count cannot be negative", cfg.Shards)
 	}
 	queueCap := cfg.QueueDepth
 	if queueCap <= 0 {
@@ -316,27 +303,9 @@ func (s *Server) parseWait(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// applyShards overlays the server's default shard count onto a config
-// that did not choose one. The overlay must not turn a runnable config
-// into a 400: when the default does not fit (the strip count exceeds
-// the config's cell grid) the config silently keeps the serial engine,
-// which produces the same results anyway. Configs invalid for other
-// reasons are left alone so the handler's Validate reports the real
-// error.
-func (s *Server) applyShards(cfg *scenario.Config) {
-	if s.cfg.Shards < 2 || cfg.Shards != 0 {
-		return
-	}
-	cfg.Shards = s.cfg.Shards
-	if err := cfg.Validate(); err != nil {
-		cfg.Shards = 0
-	}
-}
-
 // applyRxCache overlays the server's NoRxCache execution default onto a
-// config that did not disable the cache itself. Unlike applyShards
-// there is no fit check to fall back from: the flag is valid for every
-// config.
+// config that did not disable the cache itself. The flag is valid for
+// every config, so there is no fit check to fall back from.
 func (s *Server) applyRxCache(cfg *scenario.Config) {
 	if s.cfg.NoRxCache {
 		cfg.Radio.NoRxCache = true
@@ -350,7 +319,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyShards(&cfg)
 	s.applyRxCache(&cfg)
 	// scenario.Validate is the API's 4xx surface: every config mistake a
 	// CLI would exit(2) on becomes a 400 with the same message.
@@ -429,7 +397,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyShards(&cfg)
 	s.applyRxCache(&cfg)
 	if err := cfg.Validate(); err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
@@ -510,12 +477,6 @@ func (s *Server) runJob(j *job) {
 	if err != nil {
 		j.err = err
 		return
-	}
-	// Sharded-engine telemetry rides along on fresh runs only: results
-	// rehydrated from the store carry no Shard stats (the field is
-	// execution metadata, not part of the canonical result bytes).
-	if res.Shard != nil {
-		s.met.observeShard(res.Shard)
 	}
 	// The default RunFunc (store-backed executor) has already stored the
 	// result; read back the canonical bytes so hit and miss responses

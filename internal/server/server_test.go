@@ -435,103 +435,25 @@ func genKey(t *testing.T, ts *httptest.Server, cfg scenario.Config) string {
 	return out.Key
 }
 
-// TestShardDefaultOverlay: a server started with Config.Shards runs
-// shard-less configs on the sharded engine — same result bytes as a
-// serial server, a self-consistent content key (previewed by
-// /v1/generate), and the shard telemetry surfaced on /metrics.
-func TestShardDefaultOverlay(t *testing.T) {
-	sharded, _, _ := newTestServer(t, func(c *Config) { c.Shards = 2 })
-	serial, _, _ := newTestServer(t, nil)
-	cfg := smallCfg(1)
-
-	// The overlay is part of the key: /v1/generate on the sharded server
-	// previews the key of the config it will actually run.
-	want := cfg
-	want.Shards = 2
-	if got := genKey(t, sharded, cfg); got != batch.Key(want) {
-		t.Fatalf("sharded server key = %s, want the Shards=2 key %s", got, batch.Key(want))
-	}
-	if genKey(t, sharded, cfg) == genKey(t, serial, cfg) {
-		t.Fatal("sharded and serial servers previewed the same key")
-	}
-	// A config that picks its own count keeps it.
-	own := smallCfg(1)
-	own.Shards = 3
-	if got := genKey(t, sharded, own); got != batch.Key(own) {
-		t.Fatalf("explicit Shards=3 key = %s, want %s", got, batch.Key(own))
-	}
-	// A grid too narrow for the default falls back to the serial engine
-	// instead of rejecting the request: 500 m / 100 m cells = 5 columns.
-	narrow := smallCfg(1)
-	narrow.AreaSize = 500
-	wide, _, _ := newTestServer(t, func(c *Config) { c.Shards = 8 })
-	if got := genKey(t, wide, narrow); got != batch.Key(narrow) {
-		t.Fatalf("narrow-grid key = %s, want the serial key %s", got, batch.Key(narrow))
-	}
-
-	// Byte-identity over HTTP: apart from the Shards knob echoed in the
-	// result's Cfg, both engines serve identical results.
-	rs := postRun(t, sharded, cfg, "")
-	if rs.StatusCode != http.StatusOK {
-		t.Fatalf("sharded run status %d: %s", rs.StatusCode, readAll(t, rs))
-	}
-	rr := postRun(t, serial, cfg, "")
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("serial run status %d", rr.StatusCode)
-	}
-	var fromSharded, fromSerial runner.Results
-	if err := json.Unmarshal(readAll(t, rs), &fromSharded); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(readAll(t, rr), &fromSerial); err != nil {
-		t.Fatal(err)
-	}
-	if fromSharded.Cfg.Shards != 2 {
-		t.Fatalf("sharded server echoed Cfg.Shards = %d, want 2", fromSharded.Cfg.Shards)
-	}
-	fromSharded.Cfg.Shards = 0
-	a, err := json.Marshal(fromSharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(fromSerial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("sharded server's results differ from the serial server's")
-	}
-
-	// The sharded run fed the /metrics telemetry: both counters render
-	// (boundary events may legitimately be zero on a short run).
-	mr, err := http.Get(sharded.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(readAll(t, mr), &m); err != nil {
-		t.Fatalf("metrics is not JSON: %v", err)
-	}
-	for _, key := range []string{"shard_boundary_events", "shard_stall_seconds"} {
-		raw, ok := m[key]
-		if !ok {
-			t.Fatalf("metrics missing %s", key)
+// TestRetiredShardsFieldIsRejected: the sharded engine and its
+// scenario field are gone, so a body that still sets "Shards" must be
+// refused as an unknown field — a 400 a client can act on, never a 500
+// and never a run that silently ignores the knob.
+func TestRetiredShardsFieldIsRejected(t *testing.T) {
+	ts, _, st := newTestServer(t, nil)
+	for _, path := range []string{"/v1/run", "/v1/generate"} {
+		resp, err := http.Post(ts.URL+path+"?base=ecgrid", "application/json",
+			strings.NewReader(`{"Hosts": 20, "Duration": 5, "Shards": 4}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-		var v float64
-		if err := json.Unmarshal(raw, &v); err != nil || v < 0 {
-			t.Fatalf("%s = %s, want a non-negative number", key, raw)
+		body := string(readAll(t, resp))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "Shards") {
+			t.Errorf("%s with Shards → %d (%s), want 400 naming the field", path, resp.StatusCode, body)
 		}
 	}
-}
-
-// TestNewRejectsNegativeShards: the guardrail behind cmd/simd's exit(2).
-func TestNewRejectsNegativeShards(t *testing.T) {
-	st, err := store.Open(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Store: st, Shards: -1}); err == nil {
-		t.Fatal("New accepted Config.Shards = -1")
+	if n, err := st.Len(); err != nil || n != 0 {
+		t.Fatalf("store holds %d entries (err %v) after rejected requests, want 0", n, err)
 	}
 }
 

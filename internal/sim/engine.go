@@ -266,12 +266,6 @@ func (e *Engine) compact() {
 // Stop requests that Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether the last Run returned because Stop was
-// called. Run clears the flag on entry, so a windowed driver that calls
-// Run repeatedly (internal/shard's coordinator) can distinguish "window
-// exhausted, keep going" from "the simulation asked to end".
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Run processes events in timestamp order until the queue is empty, the
 // clock would pass until, or Stop is called. Events with timestamp exactly
 // equal to until still fire. It returns the final clock value, which is

@@ -39,14 +39,12 @@ func main() {
 		verbose  = flag.Bool("v", false, "print protocol and radio counters")
 		traceN   = flag.Int("trace", 0, "print the last N on-air events")
 		confPath = flag.String("config", "",
-			"load the scenario from a JSON file (replaces the scenario flags above; -faults, -norxcache, -v and -trace still apply)")
+			"load the scenario from a JSON file (replaces the scenario flags above; -faults, -v and -trace still apply)")
 		scenRef = flag.String("scenario", "",
-			"load a generated scenario: a JSON file path or a scenarios/<name> library entry (replaces the scenario flags above; -faults, -norxcache, -v and -trace still apply)")
+			"load a generated scenario: a JSON file path or a scenarios/<name> library entry (replaces the scenario flags above; -faults, -v and -trace still apply)")
 		savePath = flag.String("save", "", "write the resulting scenario to a JSON file and exit")
 		faultArg = flag.String("faults", "",
 			"inject faults: a preset ("+strings.Join(faults.PresetNames(), ", ")+") or a plan JSON file")
-		noRxCache = flag.Bool("norxcache", false,
-			"disable the receiver-plane cache and run the uncached reference scan (results are byte-identical either way)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
@@ -85,9 +83,6 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Faults = plan
-	}
-	if *noRxCache {
-		cfg.Radio.NoRxCache = true
 	}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

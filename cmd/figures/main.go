@@ -42,8 +42,6 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress per-run progress on stderr")
 		scenRef  = flag.String("scenario", "",
 			"overlay the generator spec of this scenario (a JSON file or scenarios/<name> entry) onto every figure run")
-		noRxCache = flag.Bool("norxcache", false,
-			"run every figure simulation with the receiver-plane cache disabled (uncached reference scan; byte-identical results)")
 	)
 	flag.Parse()
 
@@ -68,14 +66,13 @@ func main() {
 	defer stop()
 
 	opt := experiment.Options{
-		Seed:      *seed,
-		Seeds:     *seeds,
-		Fast:      *fast,
-		Workers:   *parallel,
-		NoRxCache: *noRxCache,
-		Manifest:  *manifest,
-		Resume:    *resume,
-		Context:   ctx,
+		Seed:     *seed,
+		Seeds:    *seeds,
+		Fast:     *fast,
+		Workers:  *parallel,
+		Manifest: *manifest,
+		Resume:   *resume,
+		Context:  ctx,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, store.DefaultCacheEntries)

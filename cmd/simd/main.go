@@ -42,27 +42,26 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8171", "listen address")
-		dir       = flag.String("store", "simd-store", "result store directory (created if absent)")
-		workers   = flag.Int("workers", 0, "concurrent simulations; 0 uses all cores")
-		queue     = flag.Int("queue", 64, "max distinct in-flight jobs before 429")
-		perCli    = flag.Int("per-client", 0, "max in-flight jobs per client token; 0 = queue/4")
-		maxN      = flag.Int("max-n", 0, "reject configs with more hosts than this; 0 = unlimited")
-		noRxCache = flag.Bool("norxcache", false, "run configs that don't disable it themselves with the receiver-plane cache off (uncached reference scan; byte-identical results)")
-		cache     = flag.Int("cache", store.DefaultCacheEntries, "in-memory LRU entries fronting the store")
-		runTO     = flag.Duration("run-timeout", 0, "per-job execution budget; 0 = unbounded")
-		maxWait   = flag.Duration("max-wait", 2*time.Minute, "longest a blocking request may hold its connection")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGTERM")
+		addr    = flag.String("addr", ":8171", "listen address")
+		dir     = flag.String("store", "simd-store", "result store directory (created if absent)")
+		workers = flag.Int("workers", 0, "concurrent simulations; 0 uses all cores")
+		queue   = flag.Int("queue", 64, "max distinct in-flight jobs before 429")
+		perCli  = flag.Int("per-client", 0, "max in-flight jobs per client token; 0 = queue/4")
+		maxN    = flag.Int("max-n", 0, "reject configs with more hosts than this; 0 = unlimited")
+		cache   = flag.Int("cache", store.DefaultCacheEntries, "in-memory LRU entries fronting the store")
+		runTO   = flag.Duration("run-timeout", 0, "per-job execution budget; 0 = unbounded")
+		maxWait = flag.Duration("max-wait", 2*time.Minute, "longest a blocking request may hold its connection")
+		drain   = flag.Duration("drain", 30*time.Second, "graceful shutdown budget on SIGTERM")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *dir, *workers, *queue, *perCli, *maxN, *noRxCache, *cache, *runTO, *maxWait, *drain); err != nil {
+	if err := run(*addr, *dir, *workers, *queue, *perCli, *maxN, *cache, *runTO, *maxWait, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dir string, workers, queue, perCli, maxN int, noRxCache bool, cache int, runTO, maxWait, drain time.Duration) error {
+func run(addr, dir string, workers, queue, perCli, maxN, cache int, runTO, maxWait, drain time.Duration) error {
 	st, err := store.Open(dir, cache)
 	if err != nil {
 		return err
@@ -77,7 +76,6 @@ func run(addr, dir string, workers, queue, perCli, maxN int, noRxCache bool, cac
 		QueueDepth: queue,
 		PerClient:  perCli,
 		MaxHosts:   maxN,
-		NoRxCache:  noRxCache,
 		RunTimeout: runTO,
 		MaxWait:    maxWait,
 	})

@@ -94,11 +94,6 @@ type Options struct {
 	// (cmd/figures -scenario). Changing Gen changes every batch key, so
 	// stressed and plain figure runs never collide in a shared store.
 	Gen *scengen.Spec
-	// NoRxCache runs every figure simulation with the receiver-plane
-	// cache disabled (radio.Config.NoRxCache), the uncached reference
-	// path. Results are byte-identical either way, but the flag is part
-	// of the batch key, so cached and reference runs store separately.
-	NoRxCache bool
 }
 
 // Point is one sample of a result series.
@@ -186,11 +181,6 @@ func runJobs(jobs []batch.Job, opt Options) ([]*runner.Results, error) {
 				// leaving both set would fail validation as ambiguous.
 				jobs[i].Cfg.Mobility = ""
 			}
-		}
-	}
-	if opt.NoRxCache {
-		for i := range jobs {
-			jobs[i].Cfg.Radio.NoRxCache = true
 		}
 	}
 	bopt := batch.Options{

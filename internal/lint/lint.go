@@ -225,11 +225,10 @@ var SimPackages = []string{
 	"ecgrid/internal/faults",
 	"ecgrid/internal/spatial",
 	"ecgrid/internal/scengen",
-	// radio and ras joined the scope with the receiver-plane cache
-	// (DESIGN.md §16): both now keep order-sensitive caches (receiver
-	// lists, the paging bus's sorted-ID list) rebuilt from maps, where
-	// iteration order leaking into simulation state would be exactly
-	// the nondeterminism these analyzers exist to catch.
+	// radio and ras build order-sensitive lists (admitted receivers,
+	// paged hosts) next to maps, where iteration order leaking into
+	// simulation state would be exactly the nondeterminism these
+	// analyzers exist to catch.
 	"ecgrid/internal/radio",
 	"ecgrid/internal/ras",
 }

@@ -1,8 +1,8 @@
 // Package mrradio exercises maprange inside the radio package path,
-// which joined the simulation scope with the receiver-plane cache: the
-// channel rebuilds order-sensitive candidate lists from its station
-// map, where iteration order leaking into the admitted receiver order
-// would change metric bytes run to run.
+// which is in the simulation scope: the channel builds order-sensitive
+// candidate lists next to its station map, where iteration order
+// leaking into the admitted receiver order would change metric bytes
+// run to run.
 package mrradio
 
 import "sort"

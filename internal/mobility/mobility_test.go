@@ -50,7 +50,7 @@ func TestRWPStaysInAreaProperty(t *testing.T) {
 	}
 }
 
-func TestRWPSpeedBoundProperty(t *testing.T) {
+func TestRWPSpeedLimitProperty(t *testing.T) {
 	const vmax = 10.0
 	w := newRWP(3, vmax, 0)
 	f := func(tr uint16) bool {

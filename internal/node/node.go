@@ -222,11 +222,6 @@ func (h *Host) NextExit(t float64, bounds geom.Rect) float64 {
 	return mobility.NextRectExit(h.mob, t, bounds, t+horizon)
 }
 
-// MaxSpeedMS implements radio.SpeedBounded: a bound on the host's speed
-// for the whole run, from its mobility model, or +Inf when the model
-// cannot bound itself.
-func (h *Host) MaxSpeedMS() float64 { return mobility.SpeedBoundOf(h.mob) }
-
 // GPS returns the position the host's positioning device reports: the
 // true position plus any injected noise. Everything the protocol derives
 // from geography — grid membership, distance to the cell center — reads

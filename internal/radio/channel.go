@@ -2,7 +2,6 @@ package radio
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -81,20 +80,6 @@ type station struct {
 	queue     sendQueue
 	accessing bool // backoff event pending
 	cwSlots   int  // current contention window
-
-	// unidx marks a station on the channel's unindexed side list; its
-	// listen flips invalidate caches via the channel-wide epoch instead
-	// of a cell epoch (see rxcache.go).
-	unidx bool
-	// rxc is the station's receiver-set cache entry (rxcache.go).
-	rxc rxCache
-	// Same-instant carrier-sense memo: busyVal answers busyAround for
-	// this station while the clock reads busyAt and no transmission has
-	// started or ended since (busyEpoch == Channel.txEpoch).
-	busyAt    float64
-	busyEpoch uint64
-	busyVal   bool
-	busySet   bool
 }
 
 // dropReceiving removes one reception from the station's in-progress
@@ -179,20 +164,6 @@ type Channel struct {
 	// never aliases a receiver scan.
 	nearCand []spatial.Candidate[*station]
 
-	// Receiver-set cache state (rxcache.go). rxCacheOn gates the whole
-	// plane: it requires the spatial index and is switched off by
-	// cfg.NoRxCache, the live reference path. cover is the per-scan
-	// cover-digest scratch; chEpoch guards everything cell epochs cannot
-	// see (unindexed stations, vmax increases); txEpoch versions the
-	// carrier-sense set for the busyAround memo; vmax is the loosest
-	// speed bound over all hosts ever attached.
-	rxCacheOn bool
-	rxPad     float64
-	cover     []spatial.CellEpoch
-	chEpoch   uint64
-	txEpoch   uint64
-	vmax      float64
-	rxStats   RxCacheStats
 	// txFree and frameFree recycle transmission and pooled-Frame structs
 	// the same way rxFree recycles reception buffers: everything leaves
 	// the live structures before the struct returns to its pool.
@@ -221,7 +192,7 @@ type Channel struct {
 
 // NewChannel creates a medium with the given parameters.
 func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
-	if cfg.Range <= 0 || cfg.BitrateBps <= 0 || cfg.RxCachePadM < 0 || math.IsNaN(cfg.RxCachePadM) {
+	if cfg.Range <= 0 || cfg.BitrateBps <= 0 {
 		panic("radio: invalid config")
 	}
 	if cfg.MinBackoffSlots < 1 {
@@ -252,13 +223,6 @@ func NewChannel(engine *sim.Engine, rng *sim.RNG, cfg Config) *Channel {
 		}
 		c.index = spatial.NewIndex[*station](engine, side, slack)
 		c.txIdx = spatial.NewPointSet(side)
-		if !cfg.NoRxCache {
-			c.rxCacheOn = true
-			c.rxPad = cfg.RxCachePadM
-			if c.rxPad <= 0 {
-				c.rxPad = cfg.Range / 8
-			}
-		}
 	}
 	return c
 }
@@ -302,21 +266,12 @@ func (c *Channel) Attach(ep Endpoint) {
 	c.order[i] = id
 	if c.index != nil {
 		if mv, ok := ep.(Mover); ok {
-			// Insert bumps the cell's epoch, so covers over the arrival
-			// cell miss and re-scan.
 			c.index.Insert(id, st, ep.Position, mv.NextExit)
 		} else {
-			st.unidx = true
 			j := sort.Search(len(c.unindexed), func(j int) bool { return c.unindexed[j] >= id })
 			c.unindexed = append(c.unindexed, 0)
 			copy(c.unindexed[j+1:], c.unindexed[j:])
 			c.unindexed[j] = id
-			if c.rxCacheOn {
-				c.chEpoch++ // a new brute-force candidate: no cell to bump
-			}
-		}
-		if c.rxCacheOn {
-			c.noteSpeedBound(ep)
 		}
 	}
 }
@@ -330,9 +285,6 @@ func (c *Channel) Detach(id hostid.ID) {
 		return
 	}
 	st.detached = true
-	if c.rxCacheOn && st.unidx {
-		c.chEpoch++ // indexed stations bump their cell via Remove below
-	}
 	for !st.queue.empty() {
 		c.ReleaseFrame(st.queue.popFront().frame)
 	}
@@ -434,28 +386,6 @@ func (c *Channel) busyAround(p geom.Point) bool {
 	return false
 }
 
-// stationBusy is busyAround with a per-station same-instant memo:
-// back-to-back probes at one station within a single event instant — a
-// queue drain fanning out several maybeAccess cycles — rescan the tx
-// index only when a transmission started or ended in between (txEpoch).
-// The memo is part of the cached plane; the NoRxCache reference path
-// probes the index every time.
-func (c *Channel) stationBusy(st *station, pos geom.Point) bool {
-	if !c.rxCacheOn {
-		return c.busyAround(pos)
-	}
-	now := c.engine.Now()
-	if st.busySet && st.busyAt == now && st.busyEpoch == c.txEpoch {
-		c.rxStats.BusyHits++
-		return st.busyVal
-	}
-	st.busySet = true
-	st.busyAt = now
-	st.busyEpoch = c.txEpoch
-	st.busyVal = c.busyAround(pos)
-	return st.busyVal
-}
-
 // tryTransmit fires after backoff: sense the medium and either transmit
 // or defer with a doubled window.
 func (c *Channel) tryTransmit(st *station) {
@@ -464,7 +394,7 @@ func (c *Channel) tryTransmit(st *station) {
 		return
 	}
 	pos := st.ep.Position()
-	if c.stationBusy(st, pos) || len(st.receiving) > 0 {
+	if c.busyAround(pos) || len(st.receiving) > 0 {
 		// Medium busy: defer, exponentially widening the window.
 		c.counters.DeferredAccess++
 		st.cwSlots = min(st.cwSlots*2, c.cfg.MaxBackoffSlots)
@@ -512,7 +442,6 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	} else {
 		c.active[tx] = struct{}{}
 	}
-	c.txEpoch++ // carrier-sense set changed: busyAround memos are stale
 	tx.live = len(c.liveTx)
 	c.liveTx = append(c.liveTx, tx)
 	c.counters.FramesSent++
@@ -532,12 +461,7 @@ func (c *Channel) startTransmission(st *station, q queued, pos geom.Point) {
 	// the same one the brute-force path applies to the whole population,
 	// so both paths admit the identical receiver set in identical order.
 	r2 := c.cfg.Range * c.cfg.Range
-	if c.rxCacheOn {
-		// Receiver-plane cache: replay the cached admit loop, or run the
-		// padded reference scan and refill (rxcache.go). Byte-identical
-		// to both branches below by the §16 invalidation argument.
-		c.cachedReceivers(tx, st, pos, r2)
-	} else if c.index != nil {
+	if c.index != nil {
 		c.cand = c.index.NearbyAppend(pos, c.cfg.Range, c.cand[:0])
 		for _, oid := range c.unindexed {
 			c.cand = append(c.cand, spatial.Candidate[*station]{ID: oid, Payload: c.stations[oid]})
@@ -665,7 +589,6 @@ func (c *Channel) endTransmission(tx *transmission) {
 	} else {
 		delete(c.active, tx)
 	}
-	c.txEpoch++ // carrier-sense set changed: busyAround memos are stale
 	last := len(c.liveTx) - 1
 	c.liveTx[tx.live] = c.liveTx[last]
 	c.liveTx[tx.live].live = tx.live

@@ -44,18 +44,6 @@ type Config struct {
 	// positive values.
 	IndexCellM  float64 `json:",omitempty"`
 	IndexSlackM float64 `json:",omitempty"`
-	// NoRxCache disables the receiver-plane cache (rxcache.go) and runs
-	// every transmission through the uncached scan, as the live
-	// reference oracle for the cache's byte-identity — the same role
-	// BruteForce plays for the spatial index. BruteForce implies it (the
-	// cache needs the index).
-	NoRxCache bool `json:",omitempty"`
-	// RxCachePadM widens the cached receiver scan beyond Range, in
-	// meters: the pad is the distance margin boundary hosts get before
-	// their cached admit decision must be re-derived. Zero selects
-	// Range/8; negative is invalid. Performance-only — results are
-	// identical for any value.
-	RxCachePadM float64 `json:",omitempty"`
 }
 
 // DefaultConfig returns parameters matching the paper's simulation setup.

@@ -73,11 +73,12 @@ type Results struct {
 	OutFaultDeliveryRate  float64
 	PagesDropped          uint64
 
-	// RxCache is the receiver-plane cache's telemetry (hits, misses,
-	// rechecks). Runtime-only and excluded from the canonical encoding:
-	// cached runs are byte-identical to the NoRxCache reference, so
-	// stored results must not differ by cache behavior.
-	RxCache radio.RxCacheStats `json:"-"`
+	// RxCache is always zero: the receiver-plane cache it reported on is
+	// gone (DESIGN.md §16). The field stays, runtime-only and outside the
+	// canonical encoding, only because the benchmark module still reads
+	// Hits, Misses and Rechecks (simbench/gate.go); drop it together
+	// with those reads.
+	RxCache struct{ Hits, Misses, Rechecks uint64 } `json:"-"`
 
 	Collector *metrics.Collector
 }
@@ -498,7 +499,6 @@ func Run(cfg scenario.Config) *Results {
 		OutFaultDeliveryRate:  col.OutWindowDeliveryRate(),
 		PagesDropped:          bus.PagesDropped,
 
-		RxCache:   channel.RxCacheStats(),
 		Collector: col,
 	}
 	for _, p := range col.Alive.Points {

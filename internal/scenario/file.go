@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -49,11 +52,29 @@ func Load(path string) (Config, error) {
 		return Config{}, fmt.Errorf("scenario: %w", err)
 	}
 	var c Config
-	if err := json.Unmarshal(data, &c); err != nil {
+	if err := Decode(bytes.NewReader(data), &c); err != nil {
 		return Config{}, fmt.Errorf("scenario: parse %s: %w", path, err)
 	}
 	if err := c.Validate(); err != nil {
 		return Config{}, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	return c, nil
+}
+
+// Decode reads exactly one JSON config object from r into c, layered
+// over c's current values. Unknown fields and anything but whitespace
+// after the object are errors: a typoed or retired knob, or a second
+// config appended to the first, must fail loudly instead of running a
+// silently different simulation. Scenario files and simd request
+// bodies both decode through it.
+func Decode(r io.Reader, c *Config) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(c); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the config object")
+	}
+	return nil
 }

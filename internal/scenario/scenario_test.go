@@ -197,6 +197,33 @@ func TestLoadRejectsInvalid(t *testing.T) {
 	if _, err := Load(dir + "/missing.json"); err == nil {
 		t.Fatal("missing file accepted")
 	}
+
+	// Decoding is strict: a valid config carrying a retired or typoed
+	// field, or followed by a second object, must not load as if the
+	// extra input were absent.
+	valid, err := json.Marshal(Default(ECGRID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict := []struct{ data, want string }{
+		{`{"Shards":4,` + string(valid[1:]), "Shards"},
+		{`{"Radio":{"NoRxCache":true},` + string(valid[1:]), "NoRxCache"},
+		{string(valid) + ` {"Hosts":30}`, "trailing data"},
+	}
+	for _, c := range strict {
+		if err := writeFile(path, c.data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Load(%s) error = %v, want one naming %q", c.data, err, c.want)
+		}
+	}
+	if err := writeFile(path, string(valid)+"\n\t \n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatalf("trailing whitespace rejected: %v", err)
+	}
 }
 
 func writeFile(path, data string) error {

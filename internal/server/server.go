@@ -65,13 +65,6 @@ type Config struct {
 	// MaxHosts rejects configs whose total host count exceeds it
 	// (cmd/simd's -max-n guardrail); <= 0 disables the check.
 	MaxHosts int
-	// NoRxCache runs incoming configs with the receiver-plane cache
-	// disabled (radio.Config.NoRxCache) unless the config already asked
-	// for it. Results are byte-identical either way, so this is an
-	// execution default — but it is part of the batch key, so a
-	// reference server's cache entries never alias a cached server's.
-	// Exists for the CI soak diff (cmd/simd -norxcache) and debugging.
-	NoRxCache bool
 	// RunTimeout bounds one job from admission to completion; <= 0
 	// leaves jobs unbounded. A simulation cannot be preempted
 	// mid-event-loop, so the timeout takes effect at the executor's
@@ -236,8 +229,9 @@ func clientToken(r *http.Request) string {
 
 // decodeConfig builds the scenario from the request: an optional
 // ?base=<protocol> starting point (scenario.Default) with the JSON body
-// layered on top. Unknown fields are rejected — a typoed knob must be a
-// 400, not a silently different simulation.
+// layered on top. The body decodes strictly (scenario.Decode): unknown
+// fields and trailing data are a 400, not a silently different
+// simulation.
 func decodeConfig(r *http.Request) (scenario.Config, error) {
 	var cfg scenario.Config
 	if base := r.URL.Query().Get("base"); base != "" {
@@ -260,9 +254,7 @@ func decodeConfig(r *http.Request) (scenario.Config, error) {
 		}
 		return cfg, nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := scenario.Decode(bytes.NewReader(body), &cfg); err != nil {
 		return cfg, fmt.Errorf("parse config: %w", err)
 	}
 	return cfg, nil
@@ -303,15 +295,6 @@ func (s *Server) parseWait(r *http.Request) (time.Duration, error) {
 	return d, nil
 }
 
-// applyRxCache overlays the server's NoRxCache execution default onto a
-// config that did not disable the cache itself. The flag is valid for
-// every config, so there is no fit check to fall back from.
-func (s *Server) applyRxCache(cfg *scenario.Config) {
-	if s.cfg.NoRxCache {
-		cfg.Radio.NoRxCache = true
-	}
-}
-
 // handleRun is POST /v1/run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	cfg, err := decodeConfig(r)
@@ -319,7 +302,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyRxCache(&cfg)
 	// scenario.Validate is the API's 4xx surface: every config mistake a
 	// CLI would exit(2) on becomes a 400 with the same message.
 	if err := cfg.Validate(); err != nil {
@@ -397,7 +379,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.applyRxCache(&cfg)
 	if err := cfg.Validate(); err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ecgrid/internal/batch"
 	"ecgrid/internal/runner"
 	"ecgrid/internal/scenario"
 	"ecgrid/internal/store"
@@ -411,110 +410,34 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// genKey POSTs cfg to /v1/generate and returns the previewed content
-// key.
-func genKey(t *testing.T, ts *httptest.Server, cfg scenario.Config) string {
-	t.Helper()
-	body, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/generate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generate status %d: %s", resp.StatusCode, readAll(t, resp))
-	}
-	var out struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(readAll(t, resp), &out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Key
-}
-
-// TestRetiredShardsFieldIsRejected: the sharded engine and its
-// scenario field are gone, so a body that still sets "Shards" must be
-// refused as an unknown field — a 400 a client can act on, never a 500
-// and never a run that silently ignores the knob.
+// TestRetiredShardsFieldIsRejected: retired knobs — the sharded
+// engine's "Shards" and the receiver cache's radio fields — are gone
+// from the config, so a body that still sets one must be refused as an
+// unknown field: a 400 naming it that a client can act on, never a 500
+// and never a run that silently ignores the knob. A second object
+// after the config is refused the same way.
 func TestRetiredShardsFieldIsRejected(t *testing.T) {
 	ts, _, st := newTestServer(t, nil)
-	for _, path := range []string{"/v1/run", "/v1/generate"} {
-		resp, err := http.Post(ts.URL+path+"?base=ecgrid", "application/json",
-			strings.NewReader(`{"Hosts": 20, "Duration": 5, "Shards": 4}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := string(readAll(t, resp))
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "Shards") {
-			t.Errorf("%s with Shards → %d (%s), want 400 naming the field", path, resp.StatusCode, body)
+	cases := []struct{ body, want string }{
+		{`{"Hosts": 20, "Duration": 5, "Shards": 4}`, "Shards"},
+		{`{"Hosts": 20, "Duration": 5, "Radio": {"NoRxCache": true}}`, "NoRxCache"},
+		{`{"Hosts": 20, "Duration": 5, "Radio": {"RxCachePadM": 10}}`, "RxCachePadM"},
+		{`{"Hosts": 20, "Duration": 5} {"Hosts": 30}`, "trailing data"},
+	}
+	for _, c := range cases {
+		for _, path := range []string{"/v1/run", "/v1/generate"} {
+			resp, err := http.Post(ts.URL+path+"?base=ecgrid", "application/json",
+				strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := string(readAll(t, resp))
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, c.want) {
+				t.Errorf("%s with %s → %d (%s), want 400 naming %q", path, c.body, resp.StatusCode, body, c.want)
+			}
 		}
 	}
 	if n, err := st.Len(); err != nil || n != 0 {
 		t.Fatalf("store holds %d entries (err %v) after rejected requests, want 0", n, err)
-	}
-}
-
-// TestRxCacheDefaultOverlay: a server started with Config.NoRxCache
-// runs incoming configs on the uncached reference scan — a distinct,
-// self-consistent content key (so its store entries never alias a
-// cached server's) and, because the cache is byte-identical, the same
-// result payload apart from the echoed knob.
-func TestRxCacheDefaultOverlay(t *testing.T) {
-	reference, _, _ := newTestServer(t, func(c *Config) { c.NoRxCache = true })
-	cached, _, _ := newTestServer(t, nil)
-	cfg := smallCfg(1)
-
-	// The overlay is part of the key: /v1/generate previews the config
-	// the reference server will actually run.
-	want := cfg
-	want.Radio.NoRxCache = true
-	if got := genKey(t, reference, cfg); got != batch.Key(want) {
-		t.Fatalf("reference server key = %s, want the NoRxCache key %s", got, batch.Key(want))
-	}
-	if genKey(t, reference, cfg) == genKey(t, cached, cfg) {
-		t.Fatal("reference and cached servers previewed the same key")
-	}
-	// A config that disables the cache itself lands on the same key on
-	// both servers: the overlay is idempotent, not a separate dimension.
-	own := smallCfg(1)
-	own.Radio.NoRxCache = true
-	if got := genKey(t, cached, own); got != batch.Key(own) {
-		t.Fatalf("explicit NoRxCache key = %s, want %s", got, batch.Key(own))
-	}
-
-	// Byte-identity over HTTP: apart from the NoRxCache knob echoed in
-	// the result's Cfg, both servers serve identical results.
-	rs := postRun(t, reference, cfg, "")
-	if rs.StatusCode != http.StatusOK {
-		t.Fatalf("reference run status %d: %s", rs.StatusCode, readAll(t, rs))
-	}
-	rr := postRun(t, cached, cfg, "")
-	if rr.StatusCode != http.StatusOK {
-		t.Fatalf("cached run status %d", rr.StatusCode)
-	}
-	var fromRef, fromCached runner.Results
-	if err := json.Unmarshal(readAll(t, rs), &fromRef); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(readAll(t, rr), &fromCached); err != nil {
-		t.Fatal(err)
-	}
-	if !fromRef.Cfg.Radio.NoRxCache {
-		t.Fatal("reference server echoed Cfg.Radio.NoRxCache = false, want true")
-	}
-	fromRef.Cfg.Radio.NoRxCache = false
-	a, err := json.Marshal(fromRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(fromCached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("reference server's results differ from the cached server's")
 	}
 }

@@ -107,19 +107,10 @@ type Index[T any] struct {
 // the box stays small and a bucket fetch is one slice load — the query
 // loop touches dozens of cells per transmission, where a map lookup
 // per cell was measurably hot.
-//
-// epochs runs parallel to buckets: a monotonic per-cell counter bumped
-// on every membership change of the cell (add, remove, re-bucket in or
-// out) and on every explicit Touch. Cells outside the occupied box have
-// the implicit epoch 0, and growth relocates counters with their cells,
-// so the epoch of an absolute cell coordinate never moves backwards —
-// an (epoch now == epoch then) comparison proves the cell's membership
-// (and every Touch-signalled payload state) is unchanged since then.
 type cellGrid[T any] struct {
 	minX, minY int32
 	w, h       int32
 	buckets    [][]*entry[T]
-	epochs     []uint64
 }
 
 // at returns the bucket for (cx, cy), nil when outside the occupied box.
@@ -136,25 +127,6 @@ func (g *cellGrid[T]) add(k cellKey, e *entry[T]) {
 	g.ensure(k)
 	i := (k.cy-g.minY)*g.w + (k.cx - g.minX)
 	g.buckets[i] = append(g.buckets[i], e)
-	g.epochs[i]++
-}
-
-// epochAt returns the epoch of (cx, cy); cells outside the occupied box
-// are implicitly at epoch 0 (growth starts them there, so the value is
-// stable until a first add).
-func (g *cellGrid[T]) epochAt(cx, cy int32) uint64 {
-	cx -= g.minX
-	cy -= g.minY
-	if uint32(cx) >= uint32(g.w) || uint32(cy) >= uint32(g.h) {
-		return 0
-	}
-	return g.epochs[cy*g.w+cx]
-}
-
-// bump advances the epoch of an occupied cell. The cell must be inside
-// the box: callers bump the cell an existing entry is bucketed in.
-func (g *cellGrid[T]) bump(k cellKey) {
-	g.epochs[(k.cy-g.minY)*g.w+(k.cx-g.minX)]++
 }
 
 // ensure grows the box to include k, over-allocating a two-cell margin
@@ -164,7 +136,6 @@ func (g *cellGrid[T]) ensure(k cellKey) {
 		g.minX, g.minY = k.cx-2, k.cy-2
 		g.w, g.h = 5, 5
 		g.buckets = make([][]*entry[T], int(g.w)*int(g.h))
-		g.epochs = make([]uint64, int(g.w)*int(g.h))
 		return
 	}
 	if k.cx >= g.minX && k.cy >= g.minY && k.cx < g.minX+g.w && k.cy < g.minY+g.h {
@@ -186,12 +157,10 @@ func (g *cellGrid[T]) ensure(k cellKey) {
 	}
 	w, h := maxX-minX+1, maxY-minY+1
 	buckets := make([][]*entry[T], int(w)*int(h))
-	epochs := make([]uint64, int(w)*int(h))
 	for y := int32(0); y < g.h; y++ {
 		copy(buckets[(y+g.minY-minY)*w+(g.minX-minX):], g.buckets[y*g.w:(y+1)*g.w])
-		copy(epochs[(y+g.minY-minY)*w+(g.minX-minX):], g.epochs[y*g.w:(y+1)*g.w])
 	}
-	g.minX, g.minY, g.w, g.h, g.buckets, g.epochs = minX, minY, w, h, buckets, epochs
+	g.minX, g.minY, g.w, g.h, g.buckets = minX, minY, w, h, buckets
 }
 
 func (g *cellGrid[T]) remove(k cellKey, e *entry[T]) bool {
@@ -206,7 +175,6 @@ func (g *cellGrid[T]) remove(k cellKey, e *entry[T]) bool {
 			bucket[j] = bucket[len(bucket)-1]
 			bucket[len(bucket)-1] = nil
 			g.buckets[i] = bucket[:len(bucket)-1]
-			g.epochs[i]++
 			return true
 		}
 	}
@@ -362,9 +330,7 @@ func (ix *Index[T]) rowRange(p geom.Point, radius float64) (cy0, cy1 int32) {
 
 // rowSpan returns the inclusive cell-column span of row cy that the
 // query disc (p, radius) can reach, with r = radius + slackGuard; ok is
-// false when the row is entirely out of reach. Shared by NearbyAppend
-// and CoverEpochs so the scanned cell set and the epoch cover are one
-// geometry by construction.
+// false when the row is entirely out of reach.
 //
 // Distance from p to the row's slack-expanded y-interval bounds the
 // y-component of any candidate in the row; the x-interval that can
@@ -383,49 +349,6 @@ func (ix *Index[T]) rowSpan(p geom.Point, r float64, cy int32) (cx0, cx1 int32, 
 	}
 	halfW := math.Sqrt(r*r-rowDy*rowDy) + ix.slack
 	return ix.coord(p.X - halfW), ix.coord(p.X + halfW), true
-}
-
-// CellEpoch records one cell of a query cover together with the epoch
-// it held when the cover was taken. The coordinates are absolute cell
-// coordinates, so a recorded cover stays comparable across grid growth.
-type CellEpoch struct {
-	CX, CY int32
-	Epoch  uint64
-}
-
-// CoverEpochs appends to dst one CellEpoch per cell a NearbyAppend scan
-// with the same (p, radius) would visit — including currently empty and
-// out-of-box cells (implicit epoch 0), because a later add there would
-// change the scan's result — and returns dst. Two equal covers prove
-// that between the two calls no tracked host was added to, removed
-// from, or re-bucketed through any cell the scan reads, and that no
-// covered host was Touched; a NearbyAppend at the second instant would
-// therefore return exactly the candidates it returned at the first.
-// Pass a recycled dst[:0] to keep the digest allocation-free.
-func (ix *Index[T]) CoverEpochs(p geom.Point, radius float64, dst []CellEpoch) []CellEpoch {
-	cy0, cy1 := ix.rowRange(p, radius)
-	r := radius + slackGuard
-	for cy := cy0; cy <= cy1; cy++ {
-		cx0, cx1, ok := ix.rowSpan(p, r, cy)
-		if !ok {
-			continue
-		}
-		for cx := cx0; cx <= cx1; cx++ {
-			dst = append(dst, CellEpoch{CX: cx, CY: cy, Epoch: ix.cells.epochAt(cx, cy)})
-		}
-	}
-	return dst
-}
-
-// Touch bumps the epoch of the cell currently holding id, invalidating
-// every cover that includes the host's cell. Callers use it to signal a
-// payload state change (a radio listen flip) that epoch comparisons
-// must observe even though nothing moved. Touching an untracked ID is a
-// no-op: such hosts are outside every cover anyway.
-func (ix *Index[T]) Touch(id hostid.ID) {
-	if e, ok := ix.byID[id]; ok {
-		ix.cells.bump(e.key)
-	}
 }
 
 // surelyWithin reports whether every point of the cell's loose bounds
